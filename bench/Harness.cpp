@@ -3,6 +3,7 @@
 #include "bench/Harness.h"
 
 #include "core/TemporalOptimizer.h"
+#include "obs/Log.h"
 #include "obs/Telemetry.h"
 #include "support/Format.h"
 #include "support/Timer.h"
@@ -204,30 +205,12 @@ TelemetryState &telemetryState() {
   return *State;
 }
 
-std::string escapeJson(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20)
-        Out += strFormat("\\u%04x", C);
-      else
-        Out += C;
-    }
-  }
+/// The counter entries of the one metrics snapshot, as (name, value).
+std::vector<std::pair<std::string, int64_t>> counterValues() {
+  std::vector<std::pair<std::string, int64_t>> Out;
+  for (const obs::MetricsSnapshot::Entry &E : obs::snapshotMetrics().Entries)
+    if (E.Kind == obs::MetricKind::Counter)
+      Out.emplace_back(E.Name, E.Value);
   return Out;
 }
 
@@ -245,18 +228,17 @@ void flushTelemetry() {
   if (State.ReportPath.empty())
     return;
   std::ofstream Out(State.ReportPath);
-  Out << "{\n  \"bench\": \"" << escapeJson(State.BenchName) << "\",\n";
+  Out << "{\n  \"bench\": \"" << obs::jsonEscape(State.BenchName) << "\",\n";
   if (!State.SkipReason.empty())
-    Out << "  \"skipped\": \"" << escapeJson(State.SkipReason) << "\",\n";
+    Out << "  \"skipped\": \"" << obs::jsonEscape(State.SkipReason) << "\",\n";
   Out << "  \"results\": [";
   for (size_t I = 0; I != State.Rows.size(); ++I)
     Out << (I ? ",\n    " : "\n    ") << State.Rows[I];
   Out << (State.Rows.empty() ? "]" : "\n  ]") << ",\n  \"counters\": {";
-  std::vector<std::pair<std::string, int64_t>> Counters =
-      obs::counterSnapshot();
+  std::vector<std::pair<std::string, int64_t>> Counters = counterValues();
   for (size_t I = 0; I != Counters.size(); ++I)
     Out << (I ? ",\n    " : "\n    ") << '"'
-        << escapeJson(Counters[I].first) << "\": " << Counters[I].second;
+        << obs::jsonEscape(Counters[I].first) << "\": " << Counters[I].second;
   Out << (Counters.empty() ? "}" : "\n  }") << "\n}\n";
   Out.flush();
   if (!Out.good())
@@ -298,7 +280,7 @@ void ltp::bench::reportResult(const std::string &Bench,
   std::string Row = strFormat(
       "{\"bench\": \"%s\", \"config\": \"%s\", \"best_s\": %.9g, "
       "\"median_s\": %.9g, \"stddev_s\": %.9g, \"runs\": %d",
-      escapeJson(Bench).c_str(), escapeJson(Config).c_str(),
+      obs::jsonEscape(Bench).c_str(), obs::jsonEscape(Config).c_str(),
       Stats.BestSeconds, Stats.MedianSeconds, Stats.StddevSeconds,
       Stats.Runs);
   if (!ExtraJson.empty())
@@ -312,8 +294,7 @@ void ltp::bench::reportSkipped(const std::string &Reason) {
 }
 
 void ltp::bench::printTelemetryFooter() {
-  std::vector<std::pair<std::string, int64_t>> Counters =
-      obs::counterSnapshot();
+  std::vector<std::pair<std::string, int64_t>> Counters = counterValues();
   if (Counters.empty())
     return;
   std::printf("telemetry        :");

@@ -108,7 +108,7 @@ void reportResult(const std::string &Bench, const std::string &Config,
 
 /// Marks the whole bench as skipped in the machine-readable report
 /// (`"skipped": "<reason>"`). Call on SKIPPED early-exit paths before
-/// returning so --json consumers (tools/ltp-bench-diff) can tell an
+/// returning so --json consumers (`ltp-check bench-diff`) can tell an
 /// environment skip from an empty run.
 void reportSkipped(const std::string &Reason);
 

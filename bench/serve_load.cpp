@@ -15,24 +15,27 @@
 // combinations; everything beyond the first coverage pass is a repeat,
 // so --requests 1000 --unique 24 is a ~97.6% duplicate stream. With
 // --json the metrics land in BENCH_serve_load.json for
-// tools/ltp-bench-diff to gate against bench/baselines/.
+// `ltp-check bench-diff` to gate against bench/baselines/.
 //
 // Measurement is steady-state: a sequential warmup pass first serves
 // every unique request once (cold optimizations + batched compiles into
-// the kernel store), then two timed phases replay the duplicate-heavy
-// stream against the warm daemon — first with metrics recording and
-// JSON logging enabled (the production configuration, reported as the
-// "mixed" row), then with both disabled (the "metrics_off" row), so the
-// observability overhead is itself a gated number. Latency quantiles
-// (p50/p90/p99/p99.9) come from the same log-linear obs::Histogram the
-// daemon exports, exercising its merge/quantile math under load. The spawn baseline execs
+// the kernel store), then the duplicate-heavy stream is replayed against
+// the warm daemon in both observability modes — histogram recording and
+// JSON logging on (the production configuration, reported as the
+// "mixed" row) and both off (the "metrics_off" row). The stream is cut
+// in two halves run in ABBA order (on, off, off, on), so each mode
+// serves the whole stream and a drift in host speed over the run
+// weighs on both modes equally instead of on whichever runs second;
+// `obs_overhead` = p50 on / p50 off. Latency quantiles (p50/p90/p99/
+// p99.9) come from the same log-linear obs::Histogram the daemon
+// exports, exercising its merge/quantile math under load. The spawn baseline execs
 // `ltp-opt <kernel> --compile` per request against the *same* warm
 // content-addressed kernel store (tool located next to this binary,
 // overridable with --ltp-opt), so both sides pay only their per-request
 // serving cost — process spawn + re-optimization for the baseline, one
 // dedup-table lookup for the daemon — which is exactly the cost the
 // daemon exists to amortize. Skipped (speedup reported as -1, which
-// ltp-bench-diff ignores) when the tool is missing.
+// `ltp-check bench-diff` ignores) when the tool is missing.
 //
 //===----------------------------------------------------------------------===//
 
@@ -289,10 +292,10 @@ int main(int Argc, char **Argv) {
     size_t OkCount = 0;
   };
 
-  auto runPhase = [&](const char *Label) {
-    PhaseResult Phase;
-    Phase.Samples.assign(static_cast<size_t>(Requests), Sample{});
-    std::atomic<int> Next{0};
+  // Runs requests [Begin, End) of the schedule from Clients closed-loop
+  // clients, recording into \p Phase.
+  auto runSlice = [&](PhaseResult &Phase, int Begin, int End) {
+    std::atomic<int> Next{Begin};
 
     auto Worker = [&] {
       int Fd = connectTo(SocketPath);
@@ -303,7 +306,7 @@ int main(int Argc, char **Argv) {
       std::string Buffer, Line;
       for (;;) {
         int I = Next.fetch_add(1);
-        if (I >= Requests)
+        if (I >= End)
           break;
         auto T0 = std::chrono::steady_clock::now();
         bool Ok = sendLine(Fd, Pool[Schedule[I]].Line) &&
@@ -327,38 +330,58 @@ int main(int Argc, char **Argv) {
       Threads.emplace_back(Worker);
     for (std::thread &T : Threads)
       T.join();
-    Phase.Seconds = std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - Start)
-                        .count();
-    for (const Sample &S : Phase.Samples)
-      if (S.Ok)
-        ++Phase.OkCount;
-    std::printf("  phase %-10s: %zu ok in %.2f s\n", Label, Phase.OkCount,
-                Phase.Seconds);
-    return Phase;
+    Phase.Seconds += std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - Start)
+                         .count();
   };
 
-  // Phase A — the production configuration: histogram/gauge recording on
-  // and structured JSON logs at info level (sunk to /dev/null so the
-  // bench pays the formatting cost, not the terminal's).
-  obs::setMetricsEnabled(true);
+  // On = the production configuration: histogram recording on and
+  // structured JSON logs at info level (sunk to /dev/null so the bench
+  // pays the formatting cost, not the terminal's). Off = both disabled.
+  auto setObservability = [](bool On) {
+    obs::setMetricsEnabled(On);
+    obs::setLogLevel(On ? obs::LogLevel::Info : obs::LogLevel::Off);
+  };
   obs::setLogFile("/dev/null");
-  obs::setLogLevel(obs::LogLevel::Info);
-  PhaseResult OnPhase = runPhase("metrics_on");
 
-  // Dedup counters snapshot here so phase B's repeats do not inflate the
-  // reported hit rate of the measured (phase A) stream.
-  const int64_t DedupHits = obs::counter("serve.dedup_hit").value();
-  const int64_t DedupMisses = obs::counter("serve.dedup_miss").value();
+  PhaseResult OnPhase, OffPhase;
+  OnPhase.Samples.assign(static_cast<size_t>(Requests), Sample{});
+  OffPhase.Samples.assign(static_cast<size_t>(Requests), Sample{});
+  // The reported dedup hit rate covers the warmup and the "on" slices,
+  // so the "off" replays of the same stream do not inflate it.
+  int64_t DedupHits = obs::counter("serve.dedup_hit").value();
+  int64_t DedupMisses = obs::counter("serve.dedup_miss").value();
+  const int Half = Requests / 2;
+  const struct {
+    bool On;
+    int Begin, End;
+  } Order[] = {{true, 0, Half},
+               {false, 0, Half},
+               {false, Half, Requests},
+               {true, Half, Requests}};
+  for (const auto &Slice : Order) {
+    setObservability(Slice.On);
+    const int64_t Hits = obs::counter("serve.dedup_hit").value();
+    const int64_t Misses = obs::counter("serve.dedup_miss").value();
+    runSlice(Slice.On ? OnPhase : OffPhase, Slice.Begin, Slice.End);
+    if (Slice.On) {
+      DedupHits += obs::counter("serve.dedup_hit").value() - Hits;
+      DedupMisses += obs::counter("serve.dedup_miss").value() - Misses;
+    }
+  }
+  setObservability(false);
+  for (PhaseResult *Phase : {&OnPhase, &OffPhase})
+    for (const Sample &S : Phase->Samples)
+      if (S.Ok)
+        ++Phase->OkCount;
+  std::printf("  phase metrics_on : %zu ok in %.2f s\n", OnPhase.OkCount,
+              OnPhase.Seconds);
+  std::printf("  phase metrics_off: %zu ok in %.2f s\n", OffPhase.OkCount,
+              OffPhase.Seconds);
   const double DedupRate =
       DedupHits + DedupMisses > 0
           ? static_cast<double>(DedupHits) / (DedupHits + DedupMisses)
           : -1.0;
-
-  // Phase B — observability off: same schedule, same warm daemon.
-  obs::setLogLevel(obs::LogLevel::Off);
-  obs::setMetricsEnabled(false);
-  PhaseResult OffPhase = runPhase("metrics_off");
 
   Server.requestStop();
   Server.wait();
@@ -392,6 +415,7 @@ int main(int Argc, char **Argv) {
   const double OffP99 = OffSnap.quantile(0.99);
   const double OffRps =
       OffPhase.Seconds > 0.0 ? OffPhase.OkCount / OffPhase.Seconds : -1.0;
+  const double ObsOverhead = P50 > 0.0 && OffP50 > 0.0 ? P50 / OffP50 : -1.0;
 
   const JITCompiler &Compiler = Server.service().compiler();
   const int64_t StoreHits = Compiler.cacheHitCount() + Compiler.diskHitCount();
@@ -417,6 +441,8 @@ int main(int Argc, char **Argv) {
   std::printf("  throughput      : %.1f req/s (metrics+logs on)\n", Rps);
   std::printf("  metrics off     : p50 %.3f ms, p99 %.3f ms, %.1f req/s\n",
               OffP50, OffP99, OffRps);
+  std::printf("  obs_overhead    : %.3f  (p50 on / p50 off, ABBA order)\n",
+              ObsOverhead);
   std::printf("  dedup hit rate  : %.1f%%  (%lld hits, %lld misses)\n",
               100.0 * DedupRate, static_cast<long long>(DedupHits),
               static_cast<long long>(DedupMisses));
@@ -440,11 +466,11 @@ int main(int Argc, char **Argv) {
       strFormat("\"seed\":%u,\"p50_ms\":%.4f,\"p99_ms\":%.4f,"
                 "\"warm_p50_ms\":%.4f,\"throughput_rps\":%.2f,"
                 "\"dedup_hit_rate\":%.4f,\"kcache_hit_rate\":%.4f,"
-                "\"speedup_vs_spawn\":%.2f,"
+                "\"speedup_vs_spawn\":%.2f,\"obs_overhead\":%.4f,"
                 "\"latency\":{\"p50\":%.4f,\"p90\":%.4f,\"p99\":%.4f,"
                 "\"p999\":%.4f}",
                 Seed, P50, P99, WarmP50, Rps, DedupRate, StoreRate,
-                Speedup, P50, P90, P99, P999));
+                Speedup, ObsOverhead, P50, P90, P99, P999));
   TimingStats OffStats;
   OffStats.BestSeconds = OffP50 / 1e3;
   OffStats.MedianSeconds = OffP50 / 1e3;

@@ -22,8 +22,12 @@ struct RVarBinding {
   size_t DimIndex = 0;
 };
 
+/// Per thread: registration and lookup both happen while a pipeline is
+/// being defined, on the defining thread, so concurrent definitions
+/// (serve sessions building matmul and gemm, both with an RDom "k") must
+/// not see each other's bindings.
 std::map<std::string, RVarBinding> &rvarRegistry() {
-  static std::map<std::string, RVarBinding> Registry;
+  thread_local std::map<std::string, RVarBinding> Registry;
   return Registry;
 }
 

@@ -60,9 +60,10 @@ struct RDomState {
   std::vector<Expr> Predicates;
 };
 
-/// Registers \p State's variables so update definitions can resolve them
-/// by name. Re-registering a name replaces the previous binding (fresh
-/// RDoms commonly reuse short names like "k" across independent kernels).
+/// Registers \p State's variables so update definitions on the calling
+/// thread can resolve them by name. Re-registering a name replaces the
+/// previous binding (fresh RDoms commonly reuse short names like "k"
+/// across independent kernels); other threads never see the binding.
 void registerRDom(const std::shared_ptr<RDomState> &State);
 
 /// Looks up the reduction-variable binding for \p Name; returns the owning

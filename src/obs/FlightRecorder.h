@@ -12,8 +12,8 @@
 /// and dumped on demand via the `dump` serve op or SIGUSR2. When a
 /// request stalls or fails in production, the recorder answers "what was
 /// the daemon doing right before?" without any tracing having been
-/// enabled in advance. Unlike spans and metrics, the recorder stays
-/// active under -DLTP_OBS_DISABLED: it is part of the serving protocol's
+/// enabled in advance. Unlike spans, logs and histograms, the recorder
+/// has no off switch: it is part of the serving protocol's
 /// debuggability contract, not optional instrumentation.
 ///
 /// The slow-request threshold lives here too: requests whose total

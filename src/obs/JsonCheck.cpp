@@ -275,7 +275,8 @@ std::unique_ptr<JsonValue> ltp::obs::parseJson(const std::string &Text,
 }
 
 bool ltp::obs::checkTraceFile(const std::string &Path, std::string *Summary,
-                              std::string *Error) {
+                              std::string *Error,
+                              std::set<std::string> *SpanNames) {
   std::ifstream In(Path);
   if (!In.good()) {
     if (Error)
@@ -320,6 +321,8 @@ bool ltp::obs::checkTraceFile(const std::string &Path, std::string *Summary,
     const std::string &Phase = Ph->StringValue;
     if (Phase == "X") {
       ++SpanCount;
+      if (SpanNames)
+        SpanNames->insert(Name->StringValue);
       const JsonValue *Ts = E.find("ts");
       const JsonValue *Dur = E.find("dur");
       const JsonValue *Pid = E.find("pid");

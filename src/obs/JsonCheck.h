@@ -7,7 +7,7 @@
 /// \file
 /// A deliberately small recursive-descent JSON parser used to *validate*
 /// the telemetry layer's own output (trace files, BENCH_*.json results)
-/// in tests and in the `ltp-trace-check` CI tool. It parses the full
+/// in tests and in the `ltp-check` CI tool. It parses the full
 /// JSON grammar into a tree of JsonValue nodes; it is not a
 /// general-purpose JSON library (no streaming, no incremental parse) and
 /// must never grow into one — production code only ever *writes* JSON.
@@ -19,6 +19,7 @@
 
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -60,9 +61,11 @@ std::unique_ptr<JsonValue> parseJson(const std::string &Text,
 /// wrote: a top-level object with a `traceEvents` array whose complete
 /// ("X") events each carry name/ph/ts/dur/pid/tid with sane types and
 /// non-negative times. Fills \p Summary with a one-line description
-/// (event counts) on success and \p Error on failure.
+/// (event counts) and \p SpanNames with the distinct span names on
+/// success, and \p Error on failure.
 bool checkTraceFile(const std::string &Path, std::string *Summary,
-                    std::string *Error);
+                    std::string *Error,
+                    std::set<std::string> *SpanNames = nullptr);
 
 } // namespace obs
 } // namespace ltp

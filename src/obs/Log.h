@@ -19,8 +19,7 @@
 /// (`setLogLevel`) — ltp-serve's `--log-json` flag does the latter.
 /// Output goes to stderr unless redirected with `setLogFile`. When a
 /// level is disabled, `logEnabled` is one relaxed atomic load and no
-/// field strings are built; compiling with `-DLTP_OBS_DISABLED` removes
-/// even that.
+/// field strings are built.
 ///
 /// The thread-local *current request ID* set by RequestIdScope is
 /// stamped onto every log line, every span recorded in the scope
@@ -74,13 +73,8 @@ extern std::atomic<int> LogThreshold;
 
 /// True when a message at level \p L would be emitted.
 inline bool logEnabled(LogLevel L) {
-#ifdef LTP_OBS_DISABLED
-  (void)L;
-  return false;
-#else
   return static_cast<int>(L) >=
          detail::LogThreshold.load(std::memory_order_relaxed);
-#endif
 }
 
 /// Current threshold level.

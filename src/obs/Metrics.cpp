@@ -1,11 +1,11 @@
-//===- Metrics.cpp - histograms, gauges and Prometheus export -------------===//
+//===- Metrics.cpp - the metric registry and its renderers ----------------===//
 
 #include "obs/Metrics.h"
 
-#include "obs/Telemetry.h"
 #include "support/Format.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <condition_variable>
 #include <cstdio>
@@ -14,6 +14,7 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <variant>
 
 using namespace ltp;
 using namespace ltp::obs;
@@ -142,65 +143,89 @@ double Histogram::Snapshot::quantile(double Q) const {
 }
 
 //===----------------------------------------------------------------------===//
-// Registries
+// Registry
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-/// Never-destroyed registries (worker threads may record during process
-/// teardown), matching the Counter registry in Telemetry.cpp.
-template <typename T> struct NamedRegistry {
-  std::mutex Mutex;
-  std::map<std::string, std::unique_ptr<T>> Entries;
+using Metric = std::variant<std::unique_ptr<Counter>, std::unique_ptr<Gauge>,
+                            std::unique_ptr<Histogram>>;
 
-  T &get(const std::string &Name) {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    std::unique_ptr<T> &Slot = Entries[Name];
-    if (!Slot)
-      Slot.reset(new T());
-    return *Slot;
-  }
+/// Never destroyed: worker threads may record during process teardown.
+struct Registry {
+  std::mutex Mutex;
+  /// Boxed so a counter does not take a histogram's ~4 KB of buckets.
+  std::map<std::string, Metric> Entries;
 };
 
-NamedRegistry<Histogram> &histogramRegistry() {
-  static NamedRegistry<Histogram> *Registry = new NamedRegistry<Histogram>();
-  return *Registry;
+Registry &registry() {
+  static Registry *R = new Registry();
+  return *R;
 }
 
-NamedRegistry<Gauge> &gaugeRegistry() {
-  static NamedRegistry<Gauge> *Registry = new NamedRegistry<Gauge>();
-  return *Registry;
+template <typename T> T &findOrCreate(const std::string &Name) {
+  Registry &R = registry();
+  std::lock_guard<std::mutex> Lock(R.Mutex);
+  auto [It, Inserted] = R.Entries.try_emplace(Name);
+  if (Inserted)
+    It->second = std::make_unique<T>();
+  auto *Slot = std::get_if<std::unique_ptr<T>>(&It->second);
+  assert(Slot && "metric name already registered as a different kind");
+  return **Slot;
 }
 
 } // namespace
 
-Histogram &ltp::obs::histogram(const std::string &Name) {
-  return histogramRegistry().get(Name);
-}
-
-std::vector<std::pair<std::string, Histogram::Snapshot>>
-ltp::obs::histogramSnapshot() {
-  NamedRegistry<Histogram> &Registry = histogramRegistry();
-  std::lock_guard<std::mutex> Lock(Registry.Mutex);
-  std::vector<std::pair<std::string, Histogram::Snapshot>> Out;
-  Out.reserve(Registry.Entries.size());
-  for (const auto &[Name, H] : Registry.Entries)
-    Out.emplace_back(Name, H->snapshot());
-  return Out; // std::map iteration is already name-sorted
+Counter &ltp::obs::counter(const std::string &Name) {
+  return findOrCreate<Counter>(Name);
 }
 
 Gauge &ltp::obs::gauge(const std::string &Name) {
-  return gaugeRegistry().get(Name);
+  return findOrCreate<Gauge>(Name);
 }
 
-std::vector<std::pair<std::string, int64_t>> ltp::obs::gaugeSnapshot() {
-  NamedRegistry<Gauge> &Registry = gaugeRegistry();
-  std::lock_guard<std::mutex> Lock(Registry.Mutex);
-  std::vector<std::pair<std::string, int64_t>> Out;
-  Out.reserve(Registry.Entries.size());
-  for (const auto &[Name, G] : Registry.Entries)
-    Out.emplace_back(Name, G->value());
-  return Out;
+Histogram &ltp::obs::histogram(const std::string &Name) {
+  return findOrCreate<Histogram>(Name);
+}
+
+void ltp::obs::resetCounters() {
+  Registry &R = registry();
+  std::lock_guard<std::mutex> Lock(R.Mutex);
+  for (auto &[Name, M] : R.Entries)
+    if (auto *C = std::get_if<std::unique_ptr<Counter>>(&M))
+      (*C)->Value.store(0, std::memory_order_relaxed);
+}
+
+const char *ltp::obs::metricKindName(MetricKind K) {
+  switch (K) {
+  case MetricKind::Counter:
+    return "counter";
+  case MetricKind::Gauge:
+    return "gauge";
+  case MetricKind::Histogram:
+    return "histogram";
+  }
+  return "?";
+}
+
+MetricsSnapshot ltp::obs::snapshotMetrics() {
+  Registry &R = registry();
+  std::lock_guard<std::mutex> Lock(R.Mutex);
+  MetricsSnapshot Snap;
+  Snap.Entries.reserve(R.Entries.size());
+  for (const auto &[Name, M] : R.Entries) { // std::map: name-sorted
+    MetricsSnapshot::Entry E;
+    E.Name = Name;
+    E.Kind = static_cast<MetricKind>(M.index());
+    if (auto *C = std::get_if<std::unique_ptr<Counter>>(&M))
+      E.Value = (*C)->value();
+    else if (auto *G = std::get_if<std::unique_ptr<Gauge>>(&M))
+      E.Value = (*G)->value();
+    else
+      E.Hist = std::get<std::unique_ptr<Histogram>>(M)->snapshot();
+    Snap.Entries.push_back(std::move(E));
+  }
+  return Snap;
 }
 
 //===----------------------------------------------------------------------===//
@@ -218,39 +243,31 @@ std::string ltp::obs::prometheusName(const std::string &Name) {
   return Out;
 }
 
-std::string ltp::obs::renderPrometheusText() {
+std::string ltp::obs::renderPrometheusText(const MetricsSnapshot &Snap) {
   std::string Out;
   Out.reserve(4096);
-
-  for (const auto &[Name, Value] : counterSnapshot()) {
-    std::string PName = prometheusName(Name);
-    Out += strFormat("# TYPE %s counter\n%s %lld\n", PName.c_str(),
-                     PName.c_str(), static_cast<long long>(Value));
-  }
-
-  for (const auto &[Name, Value] : gaugeSnapshot()) {
-    std::string PName = prometheusName(Name);
-    Out += strFormat("# TYPE %s gauge\n%s %lld\n", PName.c_str(),
-                     PName.c_str(), static_cast<long long>(Value));
-  }
-
-  for (const auto &[Name, Snap] : histogramSnapshot()) {
-    std::string PName = prometheusName(Name);
-    Out += strFormat("# TYPE %s histogram\n", PName.c_str());
+  for (const MetricsSnapshot::Entry &E : Snap.Entries) {
+    std::string PName = prometheusName(E.Name);
+    Out += strFormat("# TYPE %s %s\n", PName.c_str(), metricKindName(E.Kind));
+    if (E.Kind != MetricKind::Histogram) {
+      Out += strFormat("%s %lld\n", PName.c_str(),
+                       static_cast<long long>(E.Value));
+      continue;
+    }
     uint64_t Cumulative = 0;
-    for (size_t I = 0; I != Snap.Counts.size(); ++I) {
-      if (Snap.Counts[I] == 0)
+    for (size_t I = 0; I != E.Hist.Counts.size(); ++I) {
+      if (E.Hist.Counts[I] == 0)
         continue; // elide empty buckets; samples stay cumulative
-      Cumulative += Snap.Counts[I];
+      Cumulative += E.Hist.Counts[I];
       Out += strFormat("%s_bucket{le=\"%.9g\"} %llu\n", PName.c_str(),
                        Histogram::bucketUpperMillis(I),
                        static_cast<unsigned long long>(Cumulative));
     }
     Out += strFormat("%s_bucket{le=\"+Inf\"} %llu\n", PName.c_str(),
-                     static_cast<unsigned long long>(Snap.Count));
+                     static_cast<unsigned long long>(E.Hist.Count));
     Out += strFormat("%s_sum %.9g\n%s_count %llu\n", PName.c_str(),
-                     Snap.SumMillis, PName.c_str(),
-                     static_cast<unsigned long long>(Snap.Count));
+                     E.Hist.SumMillis, PName.c_str(),
+                     static_cast<unsigned long long>(E.Hist.Count));
   }
   return Out;
 }

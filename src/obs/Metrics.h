@@ -1,16 +1,26 @@
-//===- Metrics.h - histograms, gauges and Prometheus export -----*- C++ -*-===//
+//===- Metrics.h - the metric registry and its renderers --------*- C++ -*-===//
 //
 // Part of the LTP project (CGO'18 prefetch-aware loop transformations).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The production-metrics half of the telemetry layer: always-on,
-/// lock-free latency *histograms* and point-in-time *gauges*, exported
-/// (together with the monotonic counters of Telemetry.h) as Prometheus
-/// text-exposition format via `renderPrometheusText` — scraped over the
-/// wire by the `metrics` serve op and optionally written to a snapshot
-/// file on an interval by `MetricsSnapshotter`.
+/// The one metric registry of the telemetry layer. Every named metric —
+/// monotonic *counters*, point-in-time *gauges* and lock-free latency
+/// *histograms* — lives in a single name→metric map under one lock, and
+/// every surface that reports metrics renders the same `MetricsSnapshot`
+/// of it: the `stats` serve op, the Prometheus text exposition
+/// (`renderPrometheusText`, scraped by the `metrics` serve op and
+/// written on an interval by `MetricsSnapshotter`), the counter samples
+/// of a Chrome trace, and the bench `telemetry :` footer and JSON report.
+///
+/// A name has exactly one kind for the process lifetime: asking for an
+/// existing name as a different kind is an internal error (asserted).
+///
+/// Counters and gauges are always on — an update is one relaxed atomic.
+/// Histograms honour `metricsEnabled()` at the call site (callers guard
+/// their observe calls), which `LTP_METRICS=0` or `setMetricsEnabled`
+/// turns off.
 ///
 /// Histograms use log-linear bucketing over nanoseconds: each power-of-2
 /// octave is split into 8 linear sub-buckets, bounding the relative
@@ -22,10 +32,6 @@
 /// are derived from any snapshot by a cumulative-rank walk with linear
 /// interpolation inside the landing bucket.
 ///
-/// Recording honours `metricsEnabled()` at the call site (callers guard
-/// their observe calls); `-DLTP_OBS_DISABLED` compiles the guard to a
-/// constant false.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef LTP_OBS_METRICS_H
@@ -35,7 +41,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace ltp {
@@ -46,21 +51,17 @@ namespace obs {
 //===----------------------------------------------------------------------===//
 
 namespace detail {
-/// Master switch for metric recording. On by default; LTP_METRICS=0 in
+/// Master switch for histogram recording. On by default; LTP_METRICS=0 in
 /// the environment or setMetricsEnabled(false) turns it off.
 extern std::atomic<bool> MetricsEnabled;
 } // namespace detail
 
-/// True when histogram/gauge recording is active.
+/// True when histogram recording is active.
 inline bool metricsEnabled() {
-#ifdef LTP_OBS_DISABLED
-  return false;
-#else
   return detail::MetricsEnabled.load(std::memory_order_relaxed);
-#endif
 }
 
-/// Turns metric recording on or off (bench/serve_load measures the
+/// Turns histogram recording on or off (bench/serve_load measures the
 /// overhead of the "on" state against this "off" state).
 void setMetricsEnabled(bool Enabled);
 
@@ -121,17 +122,24 @@ private:
   std::atomic<uint64_t> SumNanos{0};
 };
 
-/// Finds or creates the histogram named \p Name. Thread-safe; the
-/// returned reference stays valid for the process lifetime — cache it in
-/// a function-local static when observing from a hot path.
-Histogram &histogram(const std::string &Name);
-
-/// Snapshots of every registered histogram, sorted by name.
-std::vector<std::pair<std::string, Histogram::Snapshot>> histogramSnapshot();
-
 //===----------------------------------------------------------------------===//
-// Gauge
+// Counter and gauge
 //===----------------------------------------------------------------------===//
+
+/// One named monotonic counter (events, cache hits, candidates scored).
+class Counter {
+public:
+  Counter() = default;
+  Counter(const Counter &) = delete;
+  Counter &operator=(const Counter &) = delete;
+
+  void add(int64_t N = 1) { Value.fetch_add(N, std::memory_order_relaxed); }
+  int64_t value() const { return Value.load(std::memory_order_relaxed); }
+
+private:
+  friend void resetCounters();
+  std::atomic<int64_t> Value{0};
+};
 
 /// A point-in-time value (queue depth, live connections, table size).
 /// Unlike Counter, a gauge is expected to go down.
@@ -151,12 +159,38 @@ private:
   std::atomic<int64_t> Value{0};
 };
 
-/// Finds or creates the gauge named \p Name (same lifetime contract as
-/// histogram()).
-Gauge &gauge(const std::string &Name);
+//===----------------------------------------------------------------------===//
+// Registry
+//===----------------------------------------------------------------------===//
 
-/// All registered gauges with their current values, sorted by name.
-std::vector<std::pair<std::string, int64_t>> gaugeSnapshot();
+/// Find-or-create accessors for the metric named \p Name. Thread-safe;
+/// the returned reference stays valid for the process lifetime — cache
+/// it in a function-local static when updating from a hot path.
+Counter &counter(const std::string &Name);
+Gauge &gauge(const std::string &Name);
+Histogram &histogram(const std::string &Name);
+
+/// Zeroes every registered counter, keeping the handles (tests).
+void resetCounters();
+
+enum class MetricKind { Counter, Gauge, Histogram };
+
+/// Prometheus type name of \p K ("counter", "gauge", "histogram").
+const char *metricKindName(MetricKind K);
+
+/// A point-in-time copy of the whole registry: one entry per metric,
+/// sorted by name across kinds. Every renderer reads this type.
+struct MetricsSnapshot {
+  struct Entry {
+    std::string Name;
+    MetricKind Kind = MetricKind::Counter;
+    int64_t Value = 0;        ///< counters and gauges
+    Histogram::Snapshot Hist; ///< histograms
+  };
+  std::vector<Entry> Entries;
+};
+
+MetricsSnapshot snapshotMetrics();
 
 //===----------------------------------------------------------------------===//
 // Prometheus export
@@ -166,11 +200,14 @@ std::vector<std::pair<std::string, int64_t>> gaugeSnapshot();
 /// non-alphanumerics to '_' ("serve.request_ms" → "ltp_serve_request_ms").
 std::string prometheusName(const std::string &Name);
 
-/// Renders every counter, gauge and histogram in Prometheus text
-/// exposition format (`# TYPE` line per family; cumulative `_bucket`
-/// samples with an explicit `+Inf`, then `_sum` and `_count`, per
-/// histogram). Empty histogram buckets are elided.
-std::string renderPrometheusText();
+/// Renders every entry of \p Snap in Prometheus text exposition format
+/// (`# TYPE` line per family; cumulative `_bucket` samples with an
+/// explicit `+Inf`, then `_sum` and `_count`, per histogram). Empty
+/// histogram buckets are elided.
+std::string renderPrometheusText(const MetricsSnapshot &Snap);
+inline std::string renderPrometheusText() {
+  return renderPrometheusText(snapshotMetrics());
+}
 
 /// Writes renderPrometheusText() to \p Path (atomically, via a .tmp
 /// rename). Returns false and fills \p Error on I/O failure.

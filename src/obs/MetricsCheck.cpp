@@ -6,7 +6,6 @@
 
 #include <cmath>
 #include <cstdlib>
-#include <fstream>
 #include <limits>
 #include <map>
 #include <sstream>
@@ -304,19 +303,6 @@ bool ltp::obs::checkMetricsText(const std::string &Text, std::string *Summary,
                          Families.size(), Counters, Gauges, Histograms,
                          SampleCount);
   return true;
-}
-
-bool ltp::obs::checkMetricsFile(const std::string &Path, std::string *Summary,
-                                std::string *Error) {
-  std::ifstream In(Path);
-  if (!In) {
-    if (Error)
-      *Error = "cannot open file";
-    return false;
-  }
-  std::ostringstream Text;
-  Text << In.rdbuf();
-  return checkMetricsText(Text.str(), Summary, Error);
 }
 
 std::vector<std::string> ltp::obs::metricFamilyNames(const std::string &Text) {

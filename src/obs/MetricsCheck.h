@@ -8,7 +8,7 @@
 /// Validation of the Prometheus text exposition the metrics layer writes
 /// (renderPrometheusText), in the spirit of JsonCheck: production code
 /// only ever *writes* the format; this checker exists so tests and the
-/// `ltp-metrics-check` CI tool can prove the output is well-formed and
+/// `ltp-check metrics` CI tool can prove the output is well-formed and
 /// the histogram invariants hold — `le` bounds strictly increasing,
 /// bucket counts cumulative, `+Inf` equal to `_count`, `_sum`/`_count`
 /// present — rather than trusting the writer.
@@ -32,12 +32,8 @@ namespace obs {
 bool checkMetricsText(const std::string &Text, std::string *Summary,
                       std::string *Error);
 
-/// File variant of checkMetricsText.
-bool checkMetricsFile(const std::string &Path, std::string *Summary,
-                      std::string *Error);
-
 /// The family names declared by `# TYPE` lines in \p Text, in order of
-/// declaration (used by ltp-metrics-check --require-metric).
+/// declaration (used by `ltp-check metrics --require-metric`).
 std::vector<std::string> metricFamilyNames(const std::string &Text);
 
 } // namespace obs

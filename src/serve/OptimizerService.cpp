@@ -150,10 +150,8 @@ Response OptimizerService::handleKeyed(const Request &Req) {
       Owner = true;
     }
     E = Slot;
-    if (obs::metricsEnabled()) {
-      static obs::Gauge &TableGauge = obs::gauge("serve.dedup_table_size");
-      TableGauge.set(static_cast<int64_t>(Table.size()));
-    }
+    static obs::Gauge &TableGauge = obs::gauge("serve.dedup_table_size");
+    TableGauge.set(static_cast<int64_t>(Table.size()));
   }
 
   if (Owner) {

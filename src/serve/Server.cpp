@@ -42,29 +42,6 @@ bool writeLine(int Fd, const std::string &Data) {
   return true;
 }
 
-std::string statsJson() {
-  std::string Out = "{\"ok\": true, \"counters\": {";
-  bool First = true;
-  for (const auto &[Name, Value] : obs::counterSnapshot()) {
-    if (!First)
-      Out += ", ";
-    First = false;
-    Out += strFormat("\"%s\": %lld", Name.c_str(),
-                     static_cast<long long>(Value));
-  }
-  Out += "}, \"gauges\": {";
-  First = true;
-  for (const auto &[Name, Value] : obs::gaugeSnapshot()) {
-    if (!First)
-      Out += ", ";
-    First = false;
-    Out += strFormat("\"%s\": %lld", Name.c_str(),
-                     static_cast<long long>(Value));
-  }
-  Out += "}}";
-  return Out;
-}
-
 /// Common prefix of the inline-op responses: ok + echoed id + the
 /// request ID minted for this line.
 std::string responseHead(const Request &Req) {
@@ -95,6 +72,19 @@ std::string dumpJson(const Request &Req) {
 }
 
 } // namespace
+
+std::string ltp::serve::statsJson(const obs::MetricsSnapshot &Snap) {
+  std::string Counters, Gauges;
+  for (const obs::MetricsSnapshot::Entry &E : Snap.Entries) {
+    if (E.Kind == obs::MetricKind::Histogram)
+      continue;
+    std::string &Out = E.Kind == obs::MetricKind::Counter ? Counters : Gauges;
+    Out += strFormat("%s\"%s\": %lld", Out.empty() ? "" : ", ",
+                     E.Name.c_str(), static_cast<long long>(E.Value));
+  }
+  return "{\"ok\": true, \"counters\": {" + Counters + "}, \"gauges\": {" +
+         Gauges + "}}";
+}
 
 Server::Server(std::string SocketPath, ServiceOptions Opts)
     : SocketPath(std::move(SocketPath)), Service(std::move(Opts)) {}
@@ -156,9 +146,6 @@ void Server::acceptLoop() {
 }
 
 void Server::handleConnection(int Fd) {
-  // Live-connection gauge updates unconditionally (not gated on
-  // metricsEnabled) so the inc/dec pairing can never be split by a
-  // mid-connection toggle.
   obs::Gauge &Live = obs::gauge("serve.live_connections");
   Live.add(1);
   if (obs::logEnabled(obs::LogLevel::Debug))
@@ -209,7 +196,7 @@ void Server::handleConnection(int Fd) {
         Pong += ", \"pong\": true}";
         Open = writeLine(Fd, Pong);
       } else if (Req->Op == "stats") {
-        Open = writeLine(Fd, statsJson());
+        Open = writeLine(Fd, statsJson(obs::snapshotMetrics()));
       } else if (Req->Op == "metrics") {
         Open = writeLine(Fd, metricsJson(*Req));
       } else if (Req->Op == "dump") {
@@ -268,15 +255,18 @@ void Server::teardown() {
       return;
     TornDown = true;
   }
-  if (ListenFd >= 0) {
-    // shutdown() wakes the blocked accept(); close() alone does not on
-    // all platforms.
+  // shutdown() wakes the blocked accept() (close() alone does not on all
+  // platforms); the descriptor is closed only after the acceptor has
+  // exited, so it never reads ListenFd concurrently with the reset and
+  // never calls accept() on a number the process has already reused.
+  if (ListenFd >= 0)
     ::shutdown(ListenFd, SHUT_RDWR);
+  if (Acceptor.joinable())
+    Acceptor.join();
+  if (ListenFd >= 0) {
     ::close(ListenFd);
     ListenFd = -1;
   }
-  if (Acceptor.joinable())
-    Acceptor.join();
   std::vector<std::thread> ToJoin;
   {
     std::lock_guard<std::mutex> Lock(ConnMu);

@@ -23,6 +23,7 @@
 #ifndef LTP_SERVE_SERVER_H
 #define LTP_SERVE_SERVER_H
 
+#include "obs/Metrics.h"
 #include "serve/OptimizerService.h"
 
 #include <atomic>
@@ -35,6 +36,11 @@
 
 namespace ltp {
 namespace serve {
+
+/// The `stats` op's response: every counter and gauge of \p Snap, split
+/// into a "counters" and a "gauges" object (histograms are scraped
+/// through the `metrics` op instead).
+std::string statsJson(const obs::MetricsSnapshot &Snap);
 
 /// See file comment. One instance per daemon.
 class Server {

@@ -15,6 +15,7 @@
 #include "benchmarks/Benchmarks.h"
 #include "core/Optimizer.h"
 #include "lang/ScheduleText.h"
+#include "obs/JsonCheck.h"
 
 #include <gtest/gtest.h>
 
@@ -191,6 +192,29 @@ TEST(LintReportApi, SeverityPartitionAndJsonShape) {
             0u)
       << Json;
   EXPECT_NE(Json.find("\"fixit\": {"), std::string::npos) << Json;
+
+  // Whitespace inside the schedule text (a tab here) moves the span but
+  // the diagnostic line stays valid JSON.
+  lint::LintReport Tabbed =
+      lint::lintScheduleText(F, computeStage(F), "reorder(i,\tj, k);",
+                             Instance.StageExtents.back(), Arch);
+  ASSERT_FALSE(Tabbed.clean());
+  std::string Error;
+  EXPECT_TRUE(obs::parseJson(lint::diagnosticJson(Tabbed.Diagnostics[0], 0),
+                             &Error))
+      << Error;
+  // Control characters in a message or fix-it round-trip through the
+  // shared escaper.
+  lint::Diagnostic Raw = Tabbed.Diagnostics[0];
+  Raw.Message = "tab\there\r\nquote\" back\\slash";
+  Raw.Fix.Replacement = "\treorder(j, i, k);";
+  std::unique_ptr<obs::JsonValue> Doc =
+      obs::parseJson(lint::diagnosticJson(Raw, 0), &Error);
+  ASSERT_TRUE(Doc) << Error;
+  EXPECT_EQ(Doc->find("message")->StringValue, Raw.Message);
+  ASSERT_TRUE(Doc->find("fixit"));
+  EXPECT_EQ(Doc->find("fixit")->find("replacement")->StringValue,
+            Raw.Fix.Replacement);
 
   lint::LintReport Warns =
       lint::lintScheduleText(F, computeStage(F),

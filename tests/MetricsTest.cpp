@@ -4,7 +4,9 @@
 //
 // The production-observability layer end to end: log-linear histogram
 // bucket/merge/quantile invariants (including under concurrent
-// observation), gauge semantics, the Prometheus exposition against its
+// observation), gauge semantics, the one metric registry (identity, one
+// kind per name, a name-sorted snapshot that the stats op and the
+// Prometheus text render alike), the Prometheus exposition against its
 // own checker (well-formed output passes, seeded corruptions fail), the
 // structured JSON logger's line well-formedness, flight-recorder ring
 // wraparound, and request-ID propagation through a real socket round
@@ -18,6 +20,7 @@
 #include "obs/Log.h"
 #include "obs/Metrics.h"
 #include "obs/MetricsCheck.h"
+#include "serve/BatchCompiler.h"
 #include "serve/Server.h"
 
 #include <gtest/gtest.h>
@@ -145,12 +148,107 @@ TEST(Gauge, SetAddAndRegistryIdentity) {
   // The registry hands back the same instance for the same name.
   EXPECT_EQ(&G, &gauge("test.metrics_gauge"));
   bool Found = false;
-  for (const auto &[Name, Value] : gaugeSnapshot())
-    if (Name == "test.metrics_gauge") {
+  for (const MetricsSnapshot::Entry &E : snapshotMetrics().Entries)
+    if (E.Name == "test.metrics_gauge") {
       Found = true;
-      EXPECT_EQ(Value, 4);
+      EXPECT_EQ(E.Kind, MetricKind::Gauge);
+      EXPECT_EQ(E.Value, 4);
     }
   EXPECT_TRUE(Found);
+}
+
+//===----------------------------------------------------------------------===//
+// The one registry
+//===----------------------------------------------------------------------===//
+
+TEST(Registry, ReRegisteringANameReturnsTheSameObject) {
+  EXPECT_EQ(&counter("test.identity.counter"),
+            &counter("test.identity.counter"));
+  EXPECT_EQ(&gauge("test.identity.gauge"), &gauge("test.identity.gauge"));
+  EXPECT_EQ(&histogram("test.identity.hist"),
+            &histogram("test.identity.hist"));
+}
+
+TEST(Registry, AskingForANameAsAnotherKindAsserts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  counter("test.kind_clash");
+  EXPECT_DEATH(gauge("test.kind_clash"), "different kind");
+}
+
+TEST(Registry, SnapshotIsNameSortedAcrossKinds) {
+  histogram("test.sorted.a").observe(1.0);
+  counter("test.sorted.b").add(2);
+  gauge("test.sorted.c").set(3);
+  const MetricsSnapshot Snap = snapshotMetrics();
+  for (size_t I = 1; I < Snap.Entries.size(); ++I)
+    EXPECT_LT(Snap.Entries[I - 1].Name, Snap.Entries[I].Name);
+  std::vector<std::pair<std::string, MetricKind>> Ours;
+  for (const MetricsSnapshot::Entry &E : Snap.Entries)
+    if (E.Name.rfind("test.sorted.", 0) == 0)
+      Ours.emplace_back(E.Name, E.Kind);
+  const std::vector<std::pair<std::string, MetricKind>> Expected = {
+      {"test.sorted.a", MetricKind::Histogram},
+      {"test.sorted.b", MetricKind::Counter},
+      {"test.sorted.c", MetricKind::Gauge}};
+  EXPECT_EQ(Ours, Expected);
+}
+
+TEST(Registry, StatsJsonAndExpositionRenderTheSameSnapshot) {
+  counter("test.render_pair.counter").add(11);
+  gauge("test.render_pair.gauge").set(-5);
+  histogram("test.render_pair_ms").observe(2.0);
+  const MetricsSnapshot Snap = snapshotMetrics();
+
+  std::string Error;
+  std::unique_ptr<JsonValue> Stats = parseJson(serve::statsJson(Snap), &Error);
+  ASSERT_TRUE(Stats) << Error;
+  const JsonValue *Counters = Stats->find("counters");
+  const JsonValue *Gauges = Stats->find("gauges");
+  ASSERT_TRUE(Counters && Gauges);
+  const std::string Text = renderPrometheusText(Snap);
+
+  // Every counter and gauge shows the same value, under the same kind, in
+  // both renderings; the stats op lists nothing else.
+  size_t Scalars = 0;
+  for (const MetricsSnapshot::Entry &E : Snap.Entries) {
+    if (E.Kind == MetricKind::Histogram)
+      continue;
+    ++Scalars;
+    const JsonValue *Block = E.Kind == MetricKind::Counter ? Counters : Gauges;
+    const JsonValue *Value = Block->find(E.Name);
+    ASSERT_TRUE(Value) << E.Name;
+    EXPECT_EQ(static_cast<int64_t>(Value->NumberValue), E.Value) << E.Name;
+    const std::string PName = prometheusName(E.Name);
+    EXPECT_NE(Text.find("# TYPE " + PName + " " + metricKindName(E.Kind) +
+                        "\n" + PName + " " + std::to_string(E.Value) + "\n"),
+              std::string::npos)
+        << E.Name;
+  }
+  EXPECT_EQ(Counters->Members.size() + Gauges->Members.size(), Scalars);
+  EXPECT_GE(Scalars, 2u);
+}
+
+TEST(Registry, QueueDepthIsOneGauge) {
+  JITCompiler Compiler;
+  {
+    serve::BatchCompiler Batches(Compiler);
+    EXPECT_TRUE(Batches.submit({}, "r-queue").get().empty());
+  }
+  const MetricsSnapshot Snap = snapshotMetrics();
+  std::vector<std::string> QueueDepths;
+  for (const MetricsSnapshot::Entry &E : Snap.Entries)
+    if (E.Name.find("queue_depth") != std::string::npos) {
+      QueueDepths.push_back(E.Name);
+      EXPECT_EQ(E.Kind, MetricKind::Gauge) << E.Name;
+    }
+  EXPECT_EQ(QueueDepths,
+            std::vector<std::string>{"serve.batch_queue_depth"});
+  // The stats op names it once, inside its gauges object.
+  std::string Stats = serve::statsJson(Snap);
+  size_t At = Stats.find("queue_depth");
+  EXPECT_EQ(Stats.find("queue_depth", At + 1), std::string::npos) << Stats;
+  EXPECT_GT(Stats.find("\"serve.batch_queue_depth\""),
+            Stats.find("\"gauges\""));
 }
 
 //===----------------------------------------------------------------------===//
@@ -234,7 +332,7 @@ public:
   const std::string Path;
 };
 
-[[maybe_unused]] std::vector<std::string>
+std::vector<std::string>
 fileLines(const std::string &Path) {
   std::ifstream In(Path);
   std::vector<std::string> Lines;
@@ -246,9 +344,6 @@ fileLines(const std::string &Path) {
 }
 
 TEST(Log, EmitsWellFormedJsonLines) {
-#ifdef LTP_OBS_DISABLED
-  GTEST_SKIP() << "logging compiled out";
-#else
   TempFile Tmp("log");
   ASSERT_TRUE(setLogFile(Tmp.Path));
   setLogLevel(LogLevel::Info);
@@ -285,13 +380,9 @@ TEST(Log, EmitsWellFormedJsonLines) {
   EXPECT_DOUBLE_EQ(Second->find("num")->NumberValue, 1.5);
   EXPECT_TRUE(Second->find("flag")->BoolValue);
   ASSERT_TRUE(Second->find("nested")->isObject());
-#endif
 }
 
 TEST(Log, RequestIdScopeStampsAndRestores) {
-#ifdef LTP_OBS_DISABLED
-  GTEST_SKIP() << "logging compiled out";
-#else
   TempFile Tmp("ridlog");
   ASSERT_TRUE(setLogFile(Tmp.Path));
   setLogLevel(LogLevel::Info);
@@ -314,7 +405,6 @@ TEST(Log, RequestIdScopeStampsAndRestores) {
   std::unique_ptr<JsonValue> Doc = parseJson(Lines[0], nullptr);
   ASSERT_TRUE(Doc && Doc->find("request_id"));
   EXPECT_EQ(Doc->find("request_id")->StringValue, "r-inner");
-#endif
 }
 
 //===----------------------------------------------------------------------===//
@@ -480,14 +570,12 @@ TEST(RequestIdEndToEnd, ResponseFlightDigestAndMetricsAgree) {
     std::string Summary, CheckError;
     EXPECT_TRUE(checkMetricsText(Text->StringValue, &Summary, &CheckError))
         << CheckError;
-#ifndef LTP_OBS_DISABLED
     // With metrics on, the request latency histogram must be present.
     bool SawLatency = false;
     for (const std::string &Name : metricFamilyNames(Text->StringValue))
       if (Name == "ltp_serve_request_ms")
         SawLatency = true;
     EXPECT_TRUE(SawLatency) << Text->StringValue;
-#endif
 
     EXPECT_NE(Conn.roundTrip("{\"op\": \"shutdown\"}").find("\"stopping\""),
               std::string::npos);

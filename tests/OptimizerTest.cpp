@@ -46,6 +46,13 @@ struct ClassCase {
   bool WantNTI;
 };
 
+// Print a case by its benchmark name. gtest's default byte dump would show
+// the load address of Name, so the registered test names would change with
+// every build and run.
+void PrintTo(const ClassCase &Case, std::ostream *OS) {
+  *OS << '"' << Case.Name << '"';
+}
+
 class ClassifierSuite : public ::testing::TestWithParam<ClassCase> {};
 
 TEST_P(ClassifierSuite, MatchesPaperTable) {

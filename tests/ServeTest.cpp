@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cerrno>
 #include <cstring>
 #include <string>
@@ -27,6 +28,7 @@
 #include <sys/un.h>
 #include <thread>
 #include <unistd.h>
+#include <vector>
 
 using namespace ltp;
 using namespace ltp::serve;
@@ -210,6 +212,36 @@ TEST(ServeService, DeduplicatesConcurrentIdenticalRequests) {
   Response Warm = Service.handle(Req);
   EXPECT_TRUE(Warm.Ok);
   EXPECT_EQ(Warm.Dedup, DedupOutcome::Cached);
+}
+
+// Concurrent sessions define pipelines on their own threads. matmul and
+// gemm both name their reduction variable "k"; each definition must bind
+// its own RDom, never the other thread's (which has a different extent).
+TEST(ServeService, ConcurrentDefinitionsBindTheirOwnReductionVars) {
+  constexpr int NumThreads = 4;
+  constexpr int Rounds = 100;
+  std::atomic<int> Checked{0}, Wrong{0};
+  std::vector<std::thread> Threads;
+  for (int T = 0; T != NumThreads; ++T)
+    Threads.emplace_back([&, T] {
+      const BenchmarkDef *Def = findBenchmark(T % 2 ? "gemm" : "matmul");
+      const int64_t Size = T % 2 ? 96 : 64;
+      for (int R = 0; R != Rounds; ++R) {
+        BenchmarkInstance I = Def->Create(Size);
+        const Definition &Update = I.Stages.back().updateDefinition(0);
+        for (const ReductionVarInfo &V : Update.RVars) {
+          const ir::IntImm *Extent =
+              ir::exprDynAs<ir::IntImm>(V.Extent.node());
+          if (!Extent || Extent->Value != Size)
+            Wrong.fetch_add(1);
+          Checked.fetch_add(1);
+        }
+      }
+    });
+  for (std::thread &T : Threads)
+    T.join();
+  EXPECT_EQ(Checked.load(), NumThreads * Rounds);
+  EXPECT_EQ(Wrong.load(), 0);
 }
 
 TEST(ServeService, DefaultSizeDedupsWithExplicitDefault) {

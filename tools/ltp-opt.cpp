@@ -447,31 +447,15 @@ int main(int Argc, char **Argv) {
   // Scoring-path telemetry: how many candidates each path handled and how
   // often the closed-form tile bound applied.
   if (Rc == 0 && !Args.has("schedule")) {
-    int64_t Cand = 0, CandAnalytic = 0, CandSim = 0;
-    int64_t BoundAnalytic = 0, BoundEmulated = 0, BoundFallback = 0;
-    for (const auto &[CounterName, Value] : obs::counterSnapshot()) {
-      if (CounterName == "opt.candidates")
-        Cand = Value;
-      else if (CounterName == "opt.candidates.analytic")
-        CandAnalytic = Value;
-      else if (CounterName == "opt.candidates.sim")
-        CandSim = Value;
-      else if (CounterName == "model.bound.analytic")
-        BoundAnalytic = Value;
-      else if (CounterName == "model.bound.emulated")
-        BoundEmulated = Value;
-      else if (CounterName == "model.bound.fallback")
-        BoundFallback = Value;
-    }
+    auto Count = [](const char *Name) {
+      return static_cast<long long>(obs::counter(Name).value());
+    };
     std::printf("telemetry : %lld candidates scored (analytic %lld, "
                 "sim %lld); tile bounds: analytic %lld, emulated %lld, "
                 "fallback %lld\n",
-                static_cast<long long>(Cand),
-                static_cast<long long>(CandAnalytic),
-                static_cast<long long>(CandSim),
-                static_cast<long long>(BoundAnalytic),
-                static_cast<long long>(BoundEmulated),
-                static_cast<long long>(BoundFallback));
+                Count("opt.candidates"), Count("opt.candidates.analytic"),
+                Count("opt.candidates.sim"), Count("model.bound.analytic"),
+                Count("model.bound.emulated"), Count("model.bound.fallback"));
   }
 
   if (Args.has("trace-json")) {

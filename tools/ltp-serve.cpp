@@ -219,7 +219,7 @@ int runClient(const ArgParse &Args) {
   if (Args.has("metrics") &&
       Reply.find("\"ok\": true") != std::string::npos) {
     // Unwrap the exposition text from the JSON envelope so the output
-    // is directly scrapeable (and pipeable into ltp-metrics-check).
+    // is directly scrapeable (and pipeable into `ltp-check metrics`).
     std::string ParseError;
     std::unique_ptr<obs::JsonValue> Doc = obs::parseJson(Reply, &ParseError);
     const obs::JsonValue *Text = Doc ? Doc->find("metrics") : nullptr;
