@@ -96,9 +96,8 @@ int64_t parseSize(const std::string &Text) {
   return Value;
 }
 
-} // namespace
-
-ArchParams ltp::detectHost() {
+/// One sysfs scan of the host's cache hierarchy (see detectHost).
+ArchParams readHost() {
   ArchParams Arch = intelI7_6700();
   Arch.Name = "host";
   unsigned HW = std::thread::hardware_concurrency();
@@ -140,6 +139,15 @@ ArchParams ltp::detectHost() {
   if (!SawL3)
     Arch.L3 = CacheParams{0, Arch.L2.LineBytes, 1};
   return Arch;
+}
+
+} // namespace
+
+ArchParams ltp::detectHost() {
+  // The host does not change under a running process: read sysfs once, on
+  // first use (a daemon that never serves "host" never pays for it).
+  static const ArchParams Host = readHost();
+  return Host;
 }
 
 std::string ltp::describe(const ArchParams &Arch) {

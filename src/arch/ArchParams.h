@@ -88,7 +88,8 @@ ArchParams intelI7_5930K();
 ArchParams armCortexA15();
 
 /// Detects the host machine's cache hierarchy from sysfs; falls back to
-/// i7-6700-like defaults for fields that cannot be read.
+/// i7-6700-like defaults for fields that cannot be read. Reads sysfs once
+/// per process, on the first call.
 ArchParams detectHost();
 
 /// Renders the parameters as a one-line summary for bench headers.

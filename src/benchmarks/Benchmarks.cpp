@@ -10,27 +10,34 @@ using namespace ltp;
 
 namespace {
 
-/// Allocates a named buffer inside the instance and returns the typed
-/// handle (kept alive by Instance.Storage).
-template <typename T>
-Buffer<T> *addBuffer(BenchmarkInstance &Instance, const std::string &Name,
-                     std::vector<int64_t> Extents, uint32_t Seed) {
-  auto Owned = std::make_shared<Buffer<T>>(std::move(Extents));
-  if (Seed != 0)
-    Owned->fillRandom(Seed);
-  Instance.Buffers[Name] = Owned->ref();
-  Instance.Storage.push_back(Owned);
-  return Owned.get();
+/// A buffer view with a shape and no data.
+BufferRef shapeOnly(ir::Type ElemType, std::vector<int64_t> Extents) {
+  BufferRef Ref;
+  Ref.ElemType = ElemType;
+  Ref.Strides = denseStrides(Extents);
+  Ref.Extents = std::move(Extents);
+  return Ref;
 }
 
-/// Allocates the expected-output buffer (not visible to the pipeline).
+/// Allocates storage for one declared buffer, seeds it, and points \p Ref
+/// at it.
 template <typename T>
-Buffer<T> *addExpected(BenchmarkInstance &Instance,
-                       std::vector<int64_t> Extents) {
-  auto Owned = std::make_shared<Buffer<T>>(std::move(Extents));
-  Instance.ExpectedRef = Owned->ref();
-  Instance.Storage.push_back(Owned);
-  return Owned.get();
+std::shared_ptr<void> allocateTyped(BufferRef &Ref, uint32_t Seed) {
+  auto Owned = std::make_shared<Buffer<T>>(Ref.Extents);
+  if (Seed != 0)
+    Owned->fillRandom(Seed);
+  Ref.Data = Owned->data();
+  return Owned;
+}
+
+std::shared_ptr<void> allocate(BufferRef &Ref, uint32_t Seed) {
+  assert(!Ref.Data && "buffer data already allocated");
+  if (Ref.ElemType == ir::Type::float32())
+    return allocateTyped<float>(Ref, Seed);
+  if (Ref.ElemType == ir::Type::uint32())
+    return allocateTyped<uint32_t>(Ref, Seed);
+  assert(false && "benchmark buffers are float32 or uint32");
+  return nullptr;
 }
 
 //===----------------------------------------------------------------------===//
@@ -40,10 +47,10 @@ Buffer<T> *addExpected(BenchmarkInstance &Instance,
 BenchmarkInstance makeMatmul(int64_t N) {
   BenchmarkInstance I;
   I.Name = "matmul";
-  Buffer<float> *A = addBuffer<float>(I, "A", {N, N}, 1);
-  Buffer<float> *B = addBuffer<float>(I, "B", {N, N}, 2);
-  addBuffer<float>(I, "C", {N, N}, 0);
-  Buffer<float> *E = addExpected<float>(I, {N, N});
+  I.declareBuffer("A", ir::Type::float32(), {N, N}, 1);
+  I.declareBuffer("B", ir::Type::float32(), {N, N}, 2);
+  I.declareBuffer("C", ir::Type::float32(), {N, N}, 0);
+  I.declareExpected(ir::Type::float32(), {N, N});
 
   Var J("j"), Iv("i");
   RDom K(0, static_cast<int>(N), "k");
@@ -57,9 +64,9 @@ BenchmarkInstance makeMatmul(int64_t N) {
   I.StageExtents = {{N, N}};
   I.OutputName = "C";
   I.Work = 2.0 * static_cast<double>(N) * N * N;
-  I.FillExpected = [A, B, E, N] {
-    const float *PA = A->data(), *PB = B->data();
-    float *PE = E->data();
+  I.FillExpected = [N](const BenchmarkInstance &Inst) {
+    const float *PA = Inst.data<float>("A"), *PB = Inst.data<float>("B");
+    float *PE = Inst.expected<float>();
     for (int64_t Row = 0; Row != N; ++Row)
       for (int64_t Col = 0; Col != N; ++Col) {
         float Acc = 0.0f;
@@ -75,11 +82,11 @@ BenchmarkInstance makeGemm(int64_t N) {
   BenchmarkInstance I;
   I.Name = "gemm";
   const float Alpha = 1.5f, Beta = 1.2f;
-  Buffer<float> *A = addBuffer<float>(I, "A", {N, N}, 3);
-  Buffer<float> *B = addBuffer<float>(I, "B", {N, N}, 4);
-  Buffer<float> *Cin = addBuffer<float>(I, "Cin", {N, N}, 5);
-  addBuffer<float>(I, "C", {N, N}, 0);
-  Buffer<float> *E = addExpected<float>(I, {N, N});
+  I.declareBuffer("A", ir::Type::float32(), {N, N}, 3);
+  I.declareBuffer("B", ir::Type::float32(), {N, N}, 4);
+  I.declareBuffer("Cin", ir::Type::float32(), {N, N}, 5);
+  I.declareBuffer("C", ir::Type::float32(), {N, N}, 0);
+  I.declareExpected(ir::Type::float32(), {N, N});
 
   Var J("j"), Iv("i");
   RDom K(0, static_cast<int>(N), "k");
@@ -94,9 +101,10 @@ BenchmarkInstance makeGemm(int64_t N) {
   I.StageExtents = {{N, N}};
   I.OutputName = "C";
   I.Work = 2.0 * static_cast<double>(N) * N * N;
-  I.FillExpected = [A, B, Cin, E, N, Alpha, Beta] {
-    const float *PA = A->data(), *PB = B->data(), *PC = Cin->data();
-    float *PE = E->data();
+  I.FillExpected = [N, Alpha, Beta](const BenchmarkInstance &Inst) {
+    const float *PA = Inst.data<float>("A"), *PB = Inst.data<float>("B"),
+                *PC = Inst.data<float>("Cin");
+    float *PE = Inst.expected<float>();
     for (int64_t Row = 0; Row != N; ++Row)
       for (int64_t Col = 0; Col != N; ++Col) {
         float Acc = Beta * PC[Row * N + Col];
@@ -111,14 +119,14 @@ BenchmarkInstance makeGemm(int64_t N) {
 BenchmarkInstance make3mm(int64_t N) {
   BenchmarkInstance I;
   I.Name = "3mm";
-  Buffer<float> *A = addBuffer<float>(I, "A", {N, N}, 6);
-  Buffer<float> *B = addBuffer<float>(I, "B", {N, N}, 7);
-  Buffer<float> *Cm = addBuffer<float>(I, "Cm", {N, N}, 8);
-  Buffer<float> *D = addBuffer<float>(I, "D", {N, N}, 9);
-  addBuffer<float>(I, "E", {N, N}, 0);
-  addBuffer<float>(I, "F", {N, N}, 0);
-  addBuffer<float>(I, "G", {N, N}, 0);
-  Buffer<float> *Want = addExpected<float>(I, {N, N});
+  I.declareBuffer("A", ir::Type::float32(), {N, N}, 6);
+  I.declareBuffer("B", ir::Type::float32(), {N, N}, 7);
+  I.declareBuffer("Cm", ir::Type::float32(), {N, N}, 8);
+  I.declareBuffer("D", ir::Type::float32(), {N, N}, 9);
+  I.declareBuffer("E", ir::Type::float32(), {N, N}, 0);
+  I.declareBuffer("F", ir::Type::float32(), {N, N}, 0);
+  I.declareBuffer("G", ir::Type::float32(), {N, N}, 0);
+  I.declareExpected(ir::Type::float32(), {N, N});
 
   Var J("j"), Iv("i");
   InputBuffer AIn("A", ir::Type::float32(), 2);
@@ -147,11 +155,11 @@ BenchmarkInstance make3mm(int64_t N) {
   I.StageExtents = {{N, N}, {N, N}, {N, N}};
   I.OutputName = "G";
   I.Work = 6.0 * static_cast<double>(N) * N * N;
-  I.FillExpected = [A, B, Cm, D, Want, N] {
+  I.FillExpected = [N](const BenchmarkInstance &Inst) {
     std::vector<float> TE(static_cast<size_t>(N * N));
     std::vector<float> TF(static_cast<size_t>(N * N));
-    const float *PA = A->data(), *PB = B->data(), *PC = Cm->data(),
-                *PD = D->data();
+    const float *PA = Inst.data<float>("A"), *PB = Inst.data<float>("B"),
+                *PC = Inst.data<float>("Cm"), *PD = Inst.data<float>("D");
     for (int64_t R = 0; R != N; ++R)
       for (int64_t C2 = 0; C2 != N; ++C2) {
         float AccE = 0.0f, AccF = 0.0f;
@@ -162,7 +170,7 @@ BenchmarkInstance make3mm(int64_t N) {
         TE[static_cast<size_t>(R * N + C2)] = AccE;
         TF[static_cast<size_t>(R * N + C2)] = AccF;
       }
-    float *PW = Want->data();
+    float *PW = Inst.expected<float>();
     for (int64_t R = 0; R != N; ++R)
       for (int64_t C2 = 0; C2 != N; ++C2) {
         float Acc = 0.0f;
@@ -179,10 +187,10 @@ BenchmarkInstance makeTrmm(int64_t N) {
   BenchmarkInstance I;
   I.Name = "trmm";
   const float Alpha = 1.1f;
-  Buffer<float> *A = addBuffer<float>(I, "A", {N, N}, 10);
-  Buffer<float> *B = addBuffer<float>(I, "B", {N, N}, 11);
-  addBuffer<float>(I, "Bout", {N, N}, 0);
-  Buffer<float> *E = addExpected<float>(I, {N, N});
+  I.declareBuffer("A", ir::Type::float32(), {N, N}, 10);
+  I.declareBuffer("B", ir::Type::float32(), {N, N}, 11);
+  I.declareBuffer("Bout", ir::Type::float32(), {N, N}, 0);
+  I.declareExpected(ir::Type::float32(), {N, N});
 
   // Out-of-place triangular matmul: Bout = alpha * (A^T_lower * B + B),
   // with the strictly-lower-triangular part of A (k > i) contributing.
@@ -199,9 +207,9 @@ BenchmarkInstance makeTrmm(int64_t N) {
   I.StageExtents = {{N, N}};
   I.OutputName = "Bout";
   I.Work = static_cast<double>(N) * N * N; // ~half the cube, x2 flops
-  I.FillExpected = [A, B, E, N, Alpha] {
-    const float *PA = A->data(), *PB = B->data();
-    float *PE = E->data();
+  I.FillExpected = [N, Alpha](const BenchmarkInstance &Inst) {
+    const float *PA = Inst.data<float>("A"), *PB = Inst.data<float>("B");
+    float *PE = Inst.expected<float>();
     for (int64_t Row = 0; Row != N; ++Row)
       for (int64_t Col = 0; Col != N; ++Col) {
         float Acc = PB[Row * N + Col];
@@ -217,10 +225,10 @@ BenchmarkInstance makeSyrk(int64_t N) {
   BenchmarkInstance I;
   I.Name = "syrk";
   const float Alpha = 1.3f, Beta = 0.7f;
-  Buffer<float> *A = addBuffer<float>(I, "A", {N, N}, 12);
-  Buffer<float> *Cin = addBuffer<float>(I, "Cin", {N, N}, 13);
-  addBuffer<float>(I, "C", {N, N}, 0);
-  Buffer<float> *E = addExpected<float>(I, {N, N});
+  I.declareBuffer("A", ir::Type::float32(), {N, N}, 12);
+  I.declareBuffer("Cin", ir::Type::float32(), {N, N}, 13);
+  I.declareBuffer("C", ir::Type::float32(), {N, N}, 0);
+  I.declareExpected(ir::Type::float32(), {N, N});
 
   Var J("j"), Iv("i");
   RDom K(0, static_cast<int>(N), "k");
@@ -234,9 +242,9 @@ BenchmarkInstance makeSyrk(int64_t N) {
   I.StageExtents = {{N, N}};
   I.OutputName = "C";
   I.Work = 2.0 * static_cast<double>(N) * N * N;
-  I.FillExpected = [A, Cin, E, N, Alpha, Beta] {
-    const float *PA = A->data(), *PC = Cin->data();
-    float *PE = E->data();
+  I.FillExpected = [N, Alpha, Beta](const BenchmarkInstance &Inst) {
+    const float *PA = Inst.data<float>("A"), *PC = Inst.data<float>("Cin");
+    float *PE = Inst.expected<float>();
     for (int64_t Row = 0; Row != N; ++Row)
       for (int64_t Col = 0; Col != N; ++Col) {
         float Acc = Beta * PC[Row * N + Col];
@@ -252,11 +260,11 @@ BenchmarkInstance makeSyr2k(int64_t N) {
   BenchmarkInstance I;
   I.Name = "syr2k";
   const float Alpha = 0.8f, Beta = 1.4f;
-  Buffer<float> *A = addBuffer<float>(I, "A", {N, N}, 14);
-  Buffer<float> *B = addBuffer<float>(I, "B", {N, N}, 15);
-  Buffer<float> *Cin = addBuffer<float>(I, "Cin", {N, N}, 16);
-  addBuffer<float>(I, "C", {N, N}, 0);
-  Buffer<float> *E = addExpected<float>(I, {N, N});
+  I.declareBuffer("A", ir::Type::float32(), {N, N}, 14);
+  I.declareBuffer("B", ir::Type::float32(), {N, N}, 15);
+  I.declareBuffer("Cin", ir::Type::float32(), {N, N}, 16);
+  I.declareBuffer("C", ir::Type::float32(), {N, N}, 0);
+  I.declareExpected(ir::Type::float32(), {N, N});
 
   Var J("j"), Iv("i");
   RDom K(0, static_cast<int>(N), "k");
@@ -272,9 +280,10 @@ BenchmarkInstance makeSyr2k(int64_t N) {
   I.StageExtents = {{N, N}};
   I.OutputName = "C";
   I.Work = 4.0 * static_cast<double>(N) * N * N;
-  I.FillExpected = [A, B, Cin, E, N, Alpha, Beta] {
-    const float *PA = A->data(), *PB = B->data(), *PC = Cin->data();
-    float *PE = E->data();
+  I.FillExpected = [N, Alpha, Beta](const BenchmarkInstance &Inst) {
+    const float *PA = Inst.data<float>("A"), *PB = Inst.data<float>("B"),
+                *PC = Inst.data<float>("Cin");
+    float *PE = Inst.expected<float>();
     for (int64_t Row = 0; Row != N; ++Row)
       for (int64_t Col = 0; Col != N; ++Col) {
         float Acc = Beta * PC[Row * N + Col];
@@ -291,10 +300,10 @@ BenchmarkInstance makeDoitgen(int64_t N) {
   BenchmarkInstance I;
   I.Name = "doitgen";
   // Out(p, q, r) = sum_s A(s, q, r) * C4(p, s).
-  Buffer<float> *A = addBuffer<float>(I, "A", {N, N, N}, 17);
-  Buffer<float> *C4 = addBuffer<float>(I, "C4", {N, N}, 18);
-  addBuffer<float>(I, "Out", {N, N, N}, 0);
-  Buffer<float> *E = addExpected<float>(I, {N, N, N});
+  I.declareBuffer("A", ir::Type::float32(), {N, N, N}, 17);
+  I.declareBuffer("C4", ir::Type::float32(), {N, N}, 18);
+  I.declareBuffer("Out", ir::Type::float32(), {N, N, N}, 0);
+  I.declareExpected(ir::Type::float32(), {N, N, N});
 
   Var P("p"), Q("q"), R("r");
   RDom S(0, static_cast<int>(N), "s");
@@ -308,9 +317,9 @@ BenchmarkInstance makeDoitgen(int64_t N) {
   I.StageExtents = {{N, N, N}};
   I.OutputName = "Out";
   I.Work = 2.0 * static_cast<double>(N) * N * N * N;
-  I.FillExpected = [A, C4, E, N] {
-    const float *PA = A->data(), *PC = C4->data();
-    float *PE = E->data();
+  I.FillExpected = [N](const BenchmarkInstance &Inst) {
+    const float *PA = Inst.data<float>("A"), *PC = Inst.data<float>("C4");
+    float *PE = Inst.expected<float>();
     for (int64_t R2 = 0; R2 != N; ++R2)
       for (int64_t Q2 = 0; Q2 != N; ++Q2)
         for (int64_t P2 = 0; P2 != N; ++P2) {
@@ -331,11 +340,10 @@ BenchmarkInstance makeConvLayer(int64_t Size) {
   const int64_t Ch = std::min<int64_t>(64, std::max<int64_t>(8, Size / 4));
   const int64_t K = Ch;
   const int64_t B = std::max<int64_t>(1, Size / 64);
-  Buffer<float> *In =
-      addBuffer<float>(I, "In", {W + 2, H + 2, Ch, B}, 19);
-  Buffer<float> *Wgt = addBuffer<float>(I, "Wgt", {3, 3, Ch, K}, 20);
-  addBuffer<float>(I, "Out", {W, H, K, B}, 0);
-  Buffer<float> *E = addExpected<float>(I, {W, H, K, B});
+  I.declareBuffer("In", ir::Type::float32(), {W + 2, H + 2, Ch, B}, 19);
+  I.declareBuffer("Wgt", ir::Type::float32(), {3, 3, Ch, K}, 20);
+  I.declareBuffer("Out", ir::Type::float32(), {W, H, K, B}, 0);
+  I.declareExpected(ir::Type::float32(), {W, H, K, B});
 
   Var X("x"), Y("y"), Kv("ko"), Bv("b");
   RDom R(std::vector<RVar>{RVar("rx", 0, 3), RVar("ry", 0, 3),
@@ -352,9 +360,9 @@ BenchmarkInstance makeConvLayer(int64_t Size) {
   I.StageExtents = {{W, H, K, B}};
   I.OutputName = "Out";
   I.Work = 2.0 * 9.0 * static_cast<double>(Ch) * W * H * K * B;
-  I.FillExpected = [In, Wgt, E, W, H, Ch, K, B] {
-    const float *PI = In->data(), *PW = Wgt->data();
-    float *PE = E->data();
+  I.FillExpected = [W, H, Ch, K, B](const BenchmarkInstance &Inst) {
+    const float *PI = Inst.data<float>("In"), *PW = Inst.data<float>("Wgt");
+    float *PE = Inst.expected<float>();
     int64_t IW = W + 2, IH = H + 2;
     for (int64_t B2 = 0; B2 != B; ++B2)
       for (int64_t K2 = 0; K2 != K; ++K2)
@@ -380,9 +388,9 @@ BenchmarkInstance makeConvLayer(int64_t Size) {
 BenchmarkInstance makeTranspose(int64_t N) {
   BenchmarkInstance I;
   I.Name = "tp";
-  Buffer<uint32_t> *A = addBuffer<uint32_t>(I, "A", {N, N}, 21);
-  addBuffer<uint32_t>(I, "Out", {N, N}, 0);
-  Buffer<uint32_t> *E = addExpected<uint32_t>(I, {N, N});
+  I.declareBuffer("A", ir::Type::uint32(), {N, N}, 21);
+  I.declareBuffer("Out", ir::Type::uint32(), {N, N}, 0);
+  I.declareExpected(ir::Type::uint32(), {N, N});
 
   Var X("x"), Y("y");
   InputBuffer AIn("A", ir::Type::uint32(), 2);
@@ -393,9 +401,9 @@ BenchmarkInstance makeTranspose(int64_t N) {
   I.StageExtents = {{N, N}};
   I.OutputName = "Out";
   I.Work = static_cast<double>(N) * N;
-  I.FillExpected = [A, E, N] {
-    const uint32_t *PA = A->data();
-    uint32_t *PE = E->data();
+  I.FillExpected = [N](const BenchmarkInstance &Inst) {
+    const uint32_t *PA = Inst.data<uint32_t>("A");
+    uint32_t *PE = Inst.expected<uint32_t>();
     for (int64_t Y2 = 0; Y2 != N; ++Y2)
       for (int64_t X2 = 0; X2 != N; ++X2)
         PE[Y2 * N + X2] = PA[X2 * N + Y2];
@@ -406,10 +414,10 @@ BenchmarkInstance makeTranspose(int64_t N) {
 BenchmarkInstance makeTpm(int64_t N) {
   BenchmarkInstance I;
   I.Name = "tpm";
-  Buffer<uint32_t> *A = addBuffer<uint32_t>(I, "A", {N, N}, 22);
-  Buffer<uint32_t> *B = addBuffer<uint32_t>(I, "B", {N, N}, 23);
-  addBuffer<uint32_t>(I, "Out", {N, N}, 0);
-  Buffer<uint32_t> *E = addExpected<uint32_t>(I, {N, N});
+  I.declareBuffer("A", ir::Type::uint32(), {N, N}, 22);
+  I.declareBuffer("B", ir::Type::uint32(), {N, N}, 23);
+  I.declareBuffer("Out", ir::Type::uint32(), {N, N}, 0);
+  I.declareExpected(ir::Type::uint32(), {N, N});
 
   // Listing 2: out[y][x] = A[x][y] & B[y][x].
   Var X("x"), Y("y");
@@ -422,9 +430,10 @@ BenchmarkInstance makeTpm(int64_t N) {
   I.StageExtents = {{N, N}};
   I.OutputName = "Out";
   I.Work = static_cast<double>(N) * N;
-  I.FillExpected = [A, B, E, N] {
-    const uint32_t *PA = A->data(), *PB = B->data();
-    uint32_t *PE = E->data();
+  I.FillExpected = [N](const BenchmarkInstance &Inst) {
+    const uint32_t *PA = Inst.data<uint32_t>("A"),
+                   *PB = Inst.data<uint32_t>("B");
+    uint32_t *PE = Inst.expected<uint32_t>();
     for (int64_t Y2 = 0; Y2 != N; ++Y2)
       for (int64_t X2 = 0; X2 != N; ++X2)
         PE[Y2 * N + X2] = PA[X2 * N + Y2] & PB[Y2 * N + X2];
@@ -435,9 +444,9 @@ BenchmarkInstance makeTpm(int64_t N) {
 BenchmarkInstance makeCopy(int64_t N) {
   BenchmarkInstance I;
   I.Name = "copy";
-  Buffer<uint32_t> *A = addBuffer<uint32_t>(I, "A", {N, N}, 24);
-  addBuffer<uint32_t>(I, "Out", {N, N}, 0);
-  Buffer<uint32_t> *E = addExpected<uint32_t>(I, {N, N});
+  I.declareBuffer("A", ir::Type::uint32(), {N, N}, 24);
+  I.declareBuffer("Out", ir::Type::uint32(), {N, N}, 0);
+  I.declareExpected(ir::Type::uint32(), {N, N});
 
   Var X("x"), Y("y");
   InputBuffer AIn("A", ir::Type::uint32(), 2);
@@ -448,9 +457,9 @@ BenchmarkInstance makeCopy(int64_t N) {
   I.StageExtents = {{N, N}};
   I.OutputName = "Out";
   I.Work = static_cast<double>(N) * N;
-  I.FillExpected = [A, E, N] {
-    const uint32_t *PA = A->data();
-    uint32_t *PE = E->data();
+  I.FillExpected = [N](const BenchmarkInstance &Inst) {
+    const uint32_t *PA = Inst.data<uint32_t>("A");
+    uint32_t *PE = Inst.expected<uint32_t>();
     std::copy(PA, PA + N * N, PE);
   };
   return I;
@@ -459,10 +468,10 @@ BenchmarkInstance makeCopy(int64_t N) {
 BenchmarkInstance makeMask(int64_t N) {
   BenchmarkInstance I;
   I.Name = "mask";
-  Buffer<uint32_t> *A = addBuffer<uint32_t>(I, "A", {N, N}, 25);
-  Buffer<uint32_t> *B = addBuffer<uint32_t>(I, "B", {N, N}, 26);
-  addBuffer<uint32_t>(I, "Out", {N, N}, 0);
-  Buffer<uint32_t> *E = addExpected<uint32_t>(I, {N, N});
+  I.declareBuffer("A", ir::Type::uint32(), {N, N}, 25);
+  I.declareBuffer("B", ir::Type::uint32(), {N, N}, 26);
+  I.declareBuffer("Out", ir::Type::uint32(), {N, N}, 0);
+  I.declareExpected(ir::Type::uint32(), {N, N});
 
   Var X("x"), Y("y");
   InputBuffer AIn("A", ir::Type::uint32(), 2);
@@ -474,9 +483,10 @@ BenchmarkInstance makeMask(int64_t N) {
   I.StageExtents = {{N, N}};
   I.OutputName = "Out";
   I.Work = static_cast<double>(N) * N;
-  I.FillExpected = [A, B, E, N] {
-    const uint32_t *PA = A->data(), *PB = B->data();
-    uint32_t *PE = E->data();
+  I.FillExpected = [N](const BenchmarkInstance &Inst) {
+    const uint32_t *PA = Inst.data<uint32_t>("A"),
+                   *PB = Inst.data<uint32_t>("B");
+    uint32_t *PE = Inst.expected<uint32_t>();
     for (int64_t Idx = 0; Idx != N * N; ++Idx)
       PE[Idx] = PA[Idx] & PB[Idx];
   };
@@ -484,6 +494,27 @@ BenchmarkInstance makeMask(int64_t N) {
 }
 
 } // namespace
+
+void BenchmarkInstance::declareBuffer(const std::string &BufName,
+                                      ir::Type ElemType,
+                                      std::vector<int64_t> Extents,
+                                      uint32_t Seed) {
+  assert(!Buffers.count(BufName) && "buffer declared twice");
+  Buffers[BufName] = shapeOnly(ElemType, std::move(Extents));
+  Declared.push_back({BufName, Seed});
+}
+
+void BenchmarkInstance::declareExpected(ir::Type ElemType,
+                                        std::vector<int64_t> Extents) {
+  ExpectedRef = shapeOnly(ElemType, std::move(Extents));
+}
+
+void ltp::allocateData(BenchmarkInstance &Instance) {
+  assert(Instance.Storage.empty() && "instance data already allocated");
+  for (const BenchmarkInstance::BufferDecl &D : Instance.Declared)
+    Instance.Storage.push_back(allocate(Instance.Buffers.at(D.Name), D.Seed));
+  Instance.Storage.push_back(allocate(Instance.ExpectedRef, 0));
+}
 
 const std::vector<BenchmarkDef> &ltp::allBenchmarks() {
   static const std::vector<BenchmarkDef> Defs = {
@@ -516,11 +547,12 @@ const BenchmarkDef *ltp::findBenchmark(const std::string &Name) {
 
 bool ltp::verifyOutput(const BenchmarkInstance &Instance) {
   assert(Instance.FillExpected && "benchmark lacks a reference oracle");
-  Instance.FillExpected();
   auto It = Instance.Buffers.find(Instance.OutputName);
   assert(It != Instance.Buffers.end() && "output buffer missing");
   const BufferRef &Out = It->second;
   const BufferRef &Want = Instance.ExpectedRef;
+  assert(Out.Data && Want.Data && "verifyOutput needs an instance with data");
+  Instance.FillExpected(Instance);
   assert(Out.numElements() == Want.numElements() &&
          "output/expected shape mismatch");
 

@@ -415,6 +415,7 @@ std::optional<AffineFn> addressOf(const std::string &BufferName,
   const BufferRef &Buf = It->second;
   if (Indices.size() != Buf.Extents.size())
     return std::nullopt;
+  assert(Buf.Data && "simulated buffer has no data (definition-only)");
   int64_t ElemBytes = Buf.ElemType.bytes();
   AffineFn Addr;
   Addr.Const = static_cast<int64_t>(reinterpret_cast<uintptr_t>(Buf.Data));

@@ -91,6 +91,7 @@ private:
     auto Buf = Buffers.find(Name);
     assert(Buf != Buffers.end() &&
            "statement references an unbound buffer");
+    assert(Buf->second.Data && "bound buffer has no data (definition-only)");
     BufferDesc D;
     D.Data = Buf->second.Data;
     D.BaseAddr = reinterpret_cast<uint64_t>(Buf->second.Data);

@@ -46,6 +46,7 @@ struct Env {
   const BufferRef &buffer(const std::string &Name) const {
     auto It = Buffers.find(Name);
     assert(It != Buffers.end() && "statement references an unbound buffer");
+    assert(It->second.Data && "bound buffer has no data (definition-only)");
     return It->second;
   }
 

@@ -147,6 +147,7 @@ void CompiledKernel::run(
            "buffer extents do not match the compiled signature");
     assert(Ref.Strides == Binding.Strides &&
            "buffer strides do not match the compiled signature");
+    assert(Ref.Data && "kernel buffer has no data (definition-only)");
     Pointers.push_back(Ref.Data);
   }
   runRaw(Pointers);

@@ -67,6 +67,14 @@ struct BufferRef {
   }
 };
 
+/// Element strides of a dense buffer with dimension 0 contiguous.
+inline std::vector<int64_t> denseStrides(const std::vector<int64_t> &Extents) {
+  std::vector<int64_t> Strides(Extents.size(), 1);
+  for (size_t D = 1; D < Extents.size(); ++D)
+    Strides[D] = Strides[D - 1] * Extents[D - 1];
+  return Strides;
+}
+
 /// Owning, typed, 64-byte aligned n-dimensional buffer.
 template <typename T> class Buffer {
 public:
@@ -75,14 +83,12 @@ public:
   explicit Buffer(std::vector<int64_t> Extents)
       : Extents(std::move(Extents)) {
     assert(!this->Extents.empty() && "buffer requires at least 1 dimension");
-    Strides.resize(this->Extents.size());
-    int64_t Stride = 1;
-    for (size_t D = 0; D != this->Extents.size(); ++D) {
-      assert(this->Extents[D] > 0 && "buffer extents must be positive");
-      Strides[D] = Stride;
-      Stride *= this->Extents[D];
+    Strides = denseStrides(this->Extents);
+    TotalElements = 1;
+    for (int64_t E : this->Extents) {
+      assert(E > 0 && "buffer extents must be positive");
+      TotalElements *= E;
     }
-    TotalElements = Stride;
     size_t Bytes = static_cast<size_t>(TotalElements) * sizeof(T);
     // Round the allocation up to a multiple of the alignment so streaming
     // stores may safely run whole vectors at the tail.

@@ -267,8 +267,10 @@ Response OptimizerService::runSession(const Request &Req,
   Sess.Resp.Kernel = Req.Kernel;
   Sess.Resp.KeyHash = keyHash(Key);
 
-  const BenchmarkDef *Def = findBenchmark(Req.Kernel);
-  Sess.Instance = Def->Create(Req.Size);
+  // Definition only: every step below reads buffer shapes, never data.
+  auto DefineStart = std::chrono::steady_clock::now();
+  Sess.Instance = findBenchmark(Req.Kernel)->Define(Req.Size);
+  Sess.Resp.StageMillis.emplace_back("instance", millisSince(DefineStart));
 
   auto OptStart = std::chrono::steady_clock::now();
   if (!scheduleSession(Sess)) {

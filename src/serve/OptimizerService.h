@@ -15,8 +15,9 @@
 ///     └─ canonicalize → dedup table: identical kernel+platform+mode
 ///        requests — in flight *or* completed — share one optimization
 ///        and one compile (`serve.dedup.{miss,inflight,cached}`)
-///     └─ Session (per-request state): materialize instance, plan +
-///        apply schedules (core planStage/applyPlan), lower
+///     └─ Session (per-request state): define the instance (shapes
+///        only, no buffer data), plan + apply schedules (core
+///        planStage/applyPlan), lower
 ///     └─ BatchCompiler: cross-request compileMany batches on the
 ///        process thread pool
 ///     └─ JITCompiler: sharded in-process memo over the flock-guarded

@@ -146,10 +146,10 @@ struct Response {
   std::string KeyHash; ///< canonical-key hash (dedup debugging)
   double OptMillis = 0.0;
   double CompileMillis = 0.0;
-  /// Per-stage wall times ("opt.stage0", "lint", "compile", ...) in
-  /// execution order. Not serialized onto the wire; feeds the flight
-  /// recorder and the slow-request log. Only the dedup owner carries
-  /// them (duplicates did not run the stages).
+  /// Per-stage wall times ("instance", "opt.stage0", "lint", "compile",
+  /// ...) in execution order. Not serialized onto the wire; feeds the
+  /// flight recorder and the slow-request log. Only the dedup owner
+  /// carries them (duplicates did not run the stages).
   std::vector<std::pair<std::string, double>> StageMillis;
 };
 

@@ -6,12 +6,12 @@
 ///
 /// \file
 /// All state materialized for one serve request that missed the dedup
-/// table: the benchmark instance (buffers, stages), the plans chosen for
-/// each stage, the lowered statements, and the response under
-/// construction. The OptimizerService itself is stateless across
-/// requests apart from its caches — everything mutable during an
-/// optimization lives here, so concurrent sessions never share Funcs or
-/// buffers.
+/// table: the benchmark instance (stages and buffer shapes; a session
+/// never allocates buffer data), the plans chosen for each stage, the
+/// lowered statements, and the response under construction. The
+/// OptimizerService itself is stateless across requests apart from its
+/// caches — everything mutable during an optimization lives here, so
+/// concurrent sessions never share Funcs or buffers.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,7 +36,8 @@ struct Session {
   Request Req;
   ArchParams Arch;
   model::ScoreMode Mode = model::ScoreMode::Auto;
-  /// The session's own kernel instance; stages are scheduled in place.
+  /// The session's own definition-only kernel instance; stages are
+  /// scheduled in place.
   BenchmarkInstance Instance;
   /// One optimizer result per stage (empty when replaying a user
   /// schedule).

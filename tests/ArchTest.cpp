@@ -53,6 +53,12 @@ TEST(ArchParamsTest, HostDetectionProducesSaneValues) {
   EXPECT_EQ(Host.L1.LineBytes % 32, 0);
 }
 
+// detectHost is memoized per process; every call must describe the same
+// platform, byte for byte, so "host" requests key identically.
+TEST(ArchParamsTest, HostDetectionIsStableAcrossCalls) {
+  EXPECT_EQ(archParamsToText(detectHost()), archParamsToText(detectHost()));
+}
+
 TEST(ArchParamsTest, DescribeMentionsKeyFacts) {
   std::string Text = describe(armCortexA15());
   EXPECT_NE(Text.find("no L3"), std::string::npos);

@@ -254,6 +254,62 @@ TEST(ServeService, DefaultSizeDedupsWithExplicitDefault) {
   ASSERT_TRUE(B.Ok);
   EXPECT_EQ(A.KeyHash, B.KeyHash);
   EXPECT_EQ(B.Dedup, DedupOutcome::Cached);
+
+  // The cold schedule-only miss times its definition step first; the
+  // cached duplicate ran no stages at all.
+  ASSERT_FALSE(A.StageMillis.empty());
+  EXPECT_EQ(A.StageMillis.front().first, "instance");
+  EXPECT_GE(A.StageMillis.front().second, 0.0);
+  EXPECT_TRUE(B.StageMillis.empty());
+}
+
+// Schedule-only requests never allocate buffer data, so a size whose
+// buffers could not be allocated (4e16 bytes per matrix) is still served.
+TEST(ServeService, HugeScheduleOnlyRequestsAreServed) {
+  OptimizerService Service;
+  for (const char *Kernel : {"copy", "tp"}) {
+    Response R = Service.handle(optimizeRequest(Kernel, 100000000));
+    EXPECT_TRUE(R.Ok) << Kernel << ": " << R.Error;
+    EXPECT_FALSE(R.Schedule.empty()) << Kernel;
+  }
+  Response After = Service.handle(optimizeRequest("copy", 64));
+  EXPECT_TRUE(After.Ok) << After.Error;
+}
+
+// The service schedules definition-only instances; the result must be
+// exactly what optimize() picks on a fully materialized instance, for
+// every kernel of both suites on every named platform.
+TEST(ServeService, DefinitionOnlySessionsMatchOptimizeOnCreate) {
+  OptimizerService Service;
+  std::vector<const BenchmarkDef *> Defs;
+  for (const BenchmarkDef &Def : allBenchmarks())
+    Defs.push_back(&Def);
+  for (const BenchmarkDef &Def : extendedBenchmarks())
+    Defs.push_back(&Def);
+  const int64_t Size = 48;
+  for (const char *ArchName : {"6700", "5930k", "a15"}) {
+    Request Probe;
+    Probe.ArchName = ArchName;
+    ErrorOr<ArchParams> Arch = resolveArch(Probe);
+    ASSERT_TRUE(static_cast<bool>(Arch)) << Arch.getError();
+    for (const BenchmarkDef *Def : Defs) {
+      Request Req = optimizeRequest(Def->Name, Size);
+      Req.ArchName = ArchName;
+      Response R = Service.handle(Req);
+      ASSERT_TRUE(R.Ok) << Def->Name << " on " << ArchName << ": " << R.Error;
+
+      BenchmarkInstance Created = Def->Create(Size);
+      OptimizationResult Last;
+      for (size_t S = 0; S != Created.Stages.size(); ++S)
+        Last = optimize(Created.Stages[S], Created.StageExtents[S], *Arch);
+      const Func &F = Created.Stages.back();
+      EXPECT_EQ(R.Schedule,
+                printSchedule(F, F.numUpdates() > 0 ? F.numUpdates() - 1 : -1))
+          << Def->Name << " on " << ArchName;
+      EXPECT_EQ(R.Description, Last.Description)
+          << Def->Name << " on " << ArchName;
+    }
+  }
 }
 
 TEST(ServeService, IllegalScheduleIsClassifiedAndCached) {

@@ -232,7 +232,11 @@ int runLint(BenchmarkInstance &Instance, const BenchmarkDef *Def,
 int processBenchmark(const BenchmarkDef *Def, const ArgParse &Args,
                      const ArchParams &Arch) {
   int64_t Size = Args.getInt("size", Def->DefaultSize);
-  BenchmarkInstance Instance = Def->Create(Size);
+  // Scheduling, linting, lowering and code generation read buffer shapes
+  // only; allocate and seed the data just for the paths that execute.
+  BenchmarkInstance Instance = Def->Define(Size);
+  if (Args.has("run") || Args.has("simulate"))
+    allocateData(Instance);
 
   // Validate before any output so a typo'd mode fails fast.
   model::ScoreMode Mode = model::ScoreMode::Auto;
